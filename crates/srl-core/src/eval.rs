@@ -81,7 +81,8 @@ pub struct TierEngagements {
     pub atoms: u64,
     /// Folds engaging the dense bitset tier.
     pub bits: u64,
-    /// Folds engaging the struct-of-arrays atom-tuple rows tier.
+    /// Always 0: there is no tuple-row store. Kept for `v:1` wire
+    /// compatibility (`"tiers": {"atoms", "bits", "rows"}`).
     pub rows: u64,
 }
 
@@ -205,7 +206,7 @@ pub(crate) struct EvalCore {
     /// parallel path engaged without perturbing the byte-identical stats.
     pub(crate) parallel_folds: u64,
     /// Diagnostic (not part of [`EvalStats`]): how many folds traversed or
-    /// produced a columnar (atoms/bits/rows tier) set, broken down by
+    /// produced a columnar (atoms/bits tier) set, broken down by
     /// tier. Lets the differential suites prove the columnar tiers
     /// actually engaged on a workload without perturbing the
     /// byte-identical stats.
@@ -320,8 +321,7 @@ impl Evaluator {
 
     /// Diagnostic counter: how many `set-reduce` folds traversed a columnar
     /// input or produced a columnar accumulator (the sorted-`u32` atoms
-    /// tier, the dense bitset tier, or the struct-of-arrays rows tier, see
-    /// [`crate::setrepr`]). Like [`Evaluator::parallel_folds`],
+    /// tier or the dense bitset tier, see [`crate::setrepr`]). Like [`Evaluator::parallel_folds`],
     /// deliberately **not** part of [`EvalStats`]: the statistics are
     /// byte-identical whether or not the tier engages, while this counter
     /// reports the storage strategy. The per-tier breakdown is
@@ -486,7 +486,6 @@ impl EvalCore {
         match kind {
             Some(ColumnarKind::Atoms) => self.tier_engagements.atoms += 1,
             Some(ColumnarKind::Bits) => self.tier_engagements.bits += 1,
-            Some(ColumnarKind::Rows) => self.tier_engagements.rows += 1,
             None => {}
         }
     }

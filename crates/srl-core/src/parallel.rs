@@ -330,14 +330,12 @@ fn run_sharded(
 }
 
 /// The empty accumulator a shard starts from: the columnar atoms tier when
-/// codegen proved the fold result is a `set(atom)`, the struct-of-arrays
-/// row tier when it proved a fixed-arity atom-tuple set, the generic tier
+/// codegen proved the fold result is a `set(atom)`, the generic tier
 /// otherwise. Stats-neutral (every empty set weighs zero), mirroring
 /// `run_reduce`'s static pre-promotion of the sequential base.
 fn shard_seed(r: &ReduceInsn) -> Value {
     match r.acc_tier {
         SetTier::Atom => Value::Set(Arc::new(SetRepr::new_atoms())),
-        SetTier::Tuple { arity } => Value::Set(Arc::new(SetRepr::new_rows(arity as usize))),
         SetTier::Generic => Value::empty_set(),
     }
 }

@@ -225,7 +225,9 @@ impl Program {
 }
 
 /// An input environment: bindings from free variable names (the input
-/// relations / sets / constants of a query) to values.
+/// relations / sets / constants of a query) to values. Each name is bound
+/// at most once; bindings keep the order their names were first bound in,
+/// which is the scope order expressions are lowered against.
 #[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub struct Env {
     bindings: Vec<(String, Value)>,
@@ -237,30 +239,29 @@ impl Env {
         Env::default()
     }
 
-    /// Returns a copy with an extra binding (later bindings shadow earlier
-    /// ones).
+    /// Returns a copy with `name` bound to `value` (see [`Env::insert`]).
     pub fn bind(mut self, name: impl Into<String>, value: Value) -> Self {
-        self.bindings.push((name.into(), value));
+        self.insert(name, value);
         self
     }
 
-    /// Adds a binding in place.
+    /// Binds `name` to `value` in place. Rebinding a name replaces its
+    /// value and keeps its position, so the scope order does not change and
+    /// the old value is dropped.
     pub fn insert(&mut self, name: impl Into<String>, value: Value) {
-        self.bindings.push((name.into(), value));
+        let name = name.into();
+        match self.bindings.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, slot)) => *slot = value,
+            None => self.bindings.push((name, value)),
+        }
     }
 
-    /// Looks up a name (later bindings shadow earlier ones).
+    /// Looks up a name.
     pub fn get(&self, name: &str) -> Option<&Value> {
         self.bindings
             .iter()
-            .rev()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v)
-    }
-
-    /// Removes the most recent binding (used by the evaluator's scoping).
-    pub fn pop(&mut self) {
-        self.bindings.pop();
     }
 
     /// Number of bindings.
@@ -390,13 +391,17 @@ mod tests {
             .bind("S", Value::empty_set())
             .bind("x", Value::atom(1));
         assert_eq!(env.get("x"), Some(&Value::atom(1)));
-        env.insert("x", Value::atom(2));
-        assert_eq!(env.get("x"), Some(&Value::atom(2)));
-        env.pop();
-        assert_eq!(env.get("x"), Some(&Value::atom(1)));
+        // Rebinding replaces in place: one binding per name, scope order
+        // unchanged.
+        env.insert("S", Value::atom(2));
+        env.insert("x", Value::atom(3));
+        assert_eq!(env.get("S"), Some(&Value::atom(2)));
+        assert_eq!(env.get("x"), Some(&Value::atom(3)));
         assert_eq!(env.len(), 2);
         assert!(!env.is_empty());
-        assert_eq!(env.iter().count(), 2);
+        let names: Vec<&str> = env.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["S", "x"]);
+        assert_eq!(env.clone().bind("x", Value::atom(4)).len(), 2);
         assert_eq!(env.get("missing"), None);
     }
 

@@ -206,6 +206,30 @@ fn bind_persists_across_connections_and_tenants_are_isolated() {
 }
 
 #[test]
+fn rebind_replaces_the_binding_instead_of_growing_the_environment() {
+    let _g = serialized();
+    let handle = spawn(ServeConfig::default());
+    let mut client = Client::connect(&handle);
+
+    for value in ["{d1, d2}", "{d7}"] {
+        let bound = client.request(&format!(
+            "{{\"v\": 1, \"kind\": \"bind\", \"name\": \"S\", \"value\": \"{value}\"}}"
+        ));
+        assert_eq!(bound.get("ok").and_then(Json::as_bool), Some(true));
+    }
+    let stats = client.request("{\"v\": 1, \"kind\": \"stats\"}");
+    assert_eq!(
+        stats.get("bindings").and_then(Json::as_u64),
+        Some(1),
+        "a rebind must replace the old value, not shadow it: {stats:?}"
+    );
+    let run = client.request("{\"v\": 1, \"kind\": \"run\", \"expr\": \"insert(d9, S)\"}");
+    assert_eq!(run.get("result").and_then(Json::as_str), Some("{d7, d9}"));
+
+    handle.shutdown();
+}
+
+#[test]
 fn cache_evicts_lru_at_capacity_and_stats_reports_it() {
     let _g = serialized();
     let handle = spawn(ServeConfig {

@@ -16,12 +16,10 @@
 //! (`class=proper-hom` — shard-splittable across the worker pool — or
 //! `class=ordered`), the statically proved storage tier of the traversed
 //! set and of the fold's accumulator (`tier=<set>/<acc>`, where `atom`
-//! means shape inference proved `set(atom)`, `tuple(k)` means it proved
-//! `set(tuple(atom^k))` — an arity-k atom-tuple relation — and the
-//! columnar fast path pre-engages either way; see
-//! `srl_core::bytecode::SetTier`), and its static per-element cost
-//! estimate, so the compile-time decisions of both the parallel executor
-//! and the columnar tiers are auditable here.
+//! means shape inference proved `set(atom)` and the columnar fast path
+//! pre-engages; see `srl_core::bytecode::SetTier`), and its static
+//! per-element cost estimate, so the compile-time decisions of both the
+//! parallel executor and the columnar tiers are auditable here.
 
 use srl_core::bytecode::{Block, Chunk, FoldOrigin, Insn, Operand, ReduceKind};
 use srl_core::lower::{CompiledProgram, LoweredExpr};
@@ -364,28 +362,6 @@ mod tests {
         let c = p.compile();
         let text = disasm_program(&c);
         assert!(text.contains("tier=generic/generic"), "{text}");
-    }
-
-    #[test]
-    fn relation_folds_disassemble_with_the_tuple_tier() {
-        use srl_core::types::Type;
-        // A declared arity-2 relation: shape inference proves
-        // set(tuple(atom, atom)) for both the traversed set and the
-        // insert-spine accumulator, and the stamp prints as tuple(2).
-        let p = Program::srl().define_typed(
-            "copy",
-            [("E", Type::relation(2))],
-            set_reduce(
-                var("E"),
-                Lambda::identity(),
-                lam("x", "acc", insert(var("x"), var("acc"))),
-                empty_set(),
-                empty_set(),
-            ),
-        );
-        let c = p.compile();
-        let text = disasm_program(&c);
-        assert!(text.contains("tier=tuple(2)/tuple(2)"), "{text}");
     }
 
     #[test]

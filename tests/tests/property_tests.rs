@@ -5,8 +5,12 @@
 //! seed, 64 cases per property — failures print the generating seed so the
 //! case can be replayed exactly.
 
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
 use srl_core::dsl::*;
 use srl_core::eval::eval_expr;
+use srl_core::setrepr::{set_atom_tier_enabled, SetRepr};
 use srl_core::{BigNat, Env, EvalLimits, Value};
 use srl_integration_tests::atom_set;
 use srl_stdlib::derived::{difference, intersection, member, set_eq, subset, union};
@@ -47,6 +51,33 @@ impl Gen {
         let len = self.below(10);
         (0..len).map(|_| self.below(24)).collect()
     }
+
+    /// A subset of `0..universe` at one of four densities (about 2, 10%,
+    /// 50% or 95% of the universe), so that built as a set it lands on
+    /// every store: inline, sorted ids, dense bits — or spilled values
+    /// when built with the columnar tier off.
+    fn subset(&mut self, universe: u64) -> BTreeSet<u64> {
+        let per_universe = [2, universe / 10, universe / 2, universe * 19 / 20];
+        let keep = per_universe[self.below(4) as usize];
+        (0..universe)
+            .filter(|_| self.below(universe) < keep)
+            .collect()
+    }
+}
+
+/// The atom set `ids` built with the columnar tier `columnar` (on: inline,
+/// sorted-id or bitset store; off: inline or spilled values).
+fn stored(ids: &BTreeSet<u64>, columnar: bool) -> SetRepr {
+    let previous = set_atom_tier_enabled(columnar);
+    let set = ids.iter().map(|&i| Value::atom(i)).collect();
+    set_atom_tier_enabled(previous);
+    set
+}
+
+fn ids_of(set: &SetRepr) -> Vec<u64> {
+    set.iter()
+        .map(|v| v.as_atom().expect("atom set").index)
+        .collect()
 }
 
 fn eval(expr: &srl_core::Expr, env: &Env) -> Value {
@@ -209,4 +240,67 @@ fn evaluation_is_deterministic() {
             "case {case}: a={a:?}"
         );
     }
+}
+
+/// The four set stores obey the set laws on mixed-store operands: the bulk
+/// `merge_union` and `merge_sorted_difference`, intersection (as
+/// `A − (A − B)` and as the SRL `intersection` query) agree with a
+/// `BTreeSet` reference, and the complement identities hold over a bounded
+/// universe U, with `−X = U − X`: `A − B = −(−A ∪ B)` and
+/// `A ∩ B = −(−A ∪ −B)`.
+#[test]
+fn set_stores_obey_the_set_laws_on_mixed_operands() {
+    const U: u64 = 192;
+    let mut g = Gen::new(9);
+    let mut stores = BTreeSet::new();
+    for case in 0..CASES {
+        let (ra, rb) = (g.subset(U), g.subset(U));
+        // Shared, not cloned: a clone would re-tier the set.
+        let a = Arc::new(stored(&ra, g.below(2) == 0));
+        let b = Arc::new(stored(&rb, g.below(2) == 0));
+        let universe = stored(&(0..U).collect(), g.below(2) == 0);
+        let complement = |x: &SetRepr| universe.merge_sorted_difference(x);
+        let label = format!("case {case}: {} × {}", a.tier_label(), b.tier_label());
+        stores.extend([a.tier_label(), b.tier_label()]);
+
+        let union_ref: Vec<u64> = ra.union(&rb).copied().collect();
+        let diff_ref: Vec<u64> = ra.difference(&rb).copied().collect();
+        let inter_ref: Vec<u64> = ra.intersection(&rb).copied().collect();
+        assert_eq!(ids_of(&a.merge_union(&b)), union_ref, "{label}: A ∪ B");
+        assert_eq!(
+            ids_of(&a.merge_sorted_difference(&b)),
+            diff_ref,
+            "{label}: A − B"
+        );
+        assert_eq!(
+            ids_of(&a.merge_sorted_difference(&a.merge_sorted_difference(&b))),
+            inter_ref,
+            "{label}: A − (A − B)"
+        );
+        let env = Env::new()
+            .bind("A", Value::Set(Arc::clone(&a)))
+            .bind("B", Value::Set(Arc::clone(&b)));
+        assert_eq!(
+            eval(&intersection(var("A"), var("B")), &env),
+            atom_set(inter_ref.iter().copied()),
+            "{label}: intersection(A, B)"
+        );
+
+        let not_a = complement(&a);
+        assert_eq!(
+            ids_of(&complement(&not_a.merge_union(&b))),
+            diff_ref,
+            "{label}: −(−A ∪ B)"
+        );
+        assert_eq!(
+            ids_of(&complement(&not_a.merge_union(&complement(&b)))),
+            inter_ref,
+            "{label}: −(−A ∪ −B)"
+        );
+    }
+    assert_eq!(
+        stores,
+        BTreeSet::from(["atoms", "bits", "inline", "spilled"]),
+        "every store must appear as an operand"
+    );
 }

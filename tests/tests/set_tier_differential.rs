@@ -1,7 +1,7 @@
-//! Differential test: generic vs. columnar set storage.
+//! Differential test: generic vs. columnar *atom-set* storage.
 //!
-//! The columnar small-atom tier (`srl-core::setrepr`: sorted-u32 `Atoms`
-//! and dense `Bits` storage) promises to be **pure representation**: for
+//! The columnar small-atom stores (`srl-core::setrepr`: sorted-u32 `Atoms`
+//! and dense `Bits` storage) promise to be **pure representation**: for
 //! every program, identical `Value` results, identical *printed* results
 //! (named-atom copies included), and byte-identical `EvalStats` whether
 //! the tier is enabled or disabled, on every backend (tree-walk,
@@ -12,153 +12,19 @@
 //! stays out when disabled, and stresses the promotion/demotion edges and
 //! mixed-tier adversaries the adaptive storage decisions hinge on.
 //!
-//! The toggle (`set_atom_tier_enabled`) is thread-local; inputs are
-//! rebuilt under each configuration's toggle so the "off" runs really
-//! evaluate generic-tier values, not columnar values built earlier.
+//! The same matrix over relational inputs (tuple sets) lives in
+//! `tuple_tier_differential.rs`; both run on the shared `tier_harness`.
 
-use std::sync::Arc;
+mod tier_harness;
 
 use srl_core::dsl::*;
-use srl_core::setrepr::set_atom_tier_enabled;
-use srl_core::{
-    Dialect, Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Expr, Program, Value,
-};
+use srl_core::{Dialect, EvalLimits, Program, Value};
 use srl_integration_tests::atom_set;
 use srl_stdlib::derived::{difference, intersection, member, union};
-
-/// Restores the ambient tier toggle when dropped, so a failing assertion
-/// in one test cannot leak a disabled tier into the rest of its thread.
-struct TierGuard(bool);
-
-impl TierGuard {
-    fn set(on: bool) -> Self {
-        TierGuard(set_atom_tier_enabled(on))
-    }
-}
-
-impl Drop for TierGuard {
-    fn drop(&mut self) {
-        set_atom_tier_enabled(self.0);
-    }
-}
-
-/// Deep structural rebuild: every set in the result is re-constructed
-/// under the *current* toggle, so the value's storage tiers reflect the
-/// configuration under measurement rather than the one it was built in.
-fn rebuild(v: &Value) -> Value {
-    match v {
-        Value::Bool(_) | Value::Atom(_) | Value::Nat(_) => v.clone(),
-        Value::Tuple(items) => Value::tuple(items.iter().map(rebuild)),
-        Value::Set(items) => Value::set(items.iter().map(|e| rebuild(&e))),
-        Value::List(items) => Value::list(items.iter().map(rebuild)),
-    }
-}
-
-fn backends() -> Vec<(&'static str, ExecBackend)> {
-    vec![
-        ("tree-walk", ExecBackend::TreeWalk),
-        ("vm[1]", ExecBackend::vm()),
-        ("vm[2]", ExecBackend::vm_with_threads(2)),
-        ("vm[4]", ExecBackend::vm_with_threads(4)),
-    ]
-}
-
-struct Outcome {
-    config: String,
-    tier_on: bool,
-    result: Result<(Value, EvalStats), EvalError>,
-    engagements: u64,
-}
-
-/// Runs `f` under every (tier, backend) configuration over one shared
-/// compiled program. `inputs` are rebuilt under each configuration's
-/// toggle and handed to `f` in order.
-fn run_matrix(
-    program: &Program,
-    limits: EvalLimits,
-    inputs: &[Value],
-    mut f: impl FnMut(&mut Evaluator, &[Value]) -> Result<Value, EvalError>,
-) -> Vec<Outcome> {
-    let compiled = Arc::new(program.compile());
-    let mut out = Vec::new();
-    for tier_on in [true, false] {
-        let _guard = TierGuard::set(tier_on);
-        let rebuilt: Vec<Value> = inputs.iter().map(rebuild).collect();
-        for (name, backend) in backends() {
-            let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
-                .expect("compiled from this program")
-                .with_backend(backend);
-            let result = f(&mut ev, &rebuilt).map(|v| (v, *ev.stats()));
-            out.push(Outcome {
-                config: format!("tier-{} {name}", if tier_on { "on" } else { "off" }),
-                tier_on,
-                result,
-                engagements: ev.tier_engagements(),
-            });
-        }
-    }
-    out
-}
-
-/// Asserts every configuration produced the same value (structurally
-/// *and* as printed — named-atom copies must not drift), byte-identical
-/// `EvalStats`, and that the disabled tier never reported an engagement.
-/// Returns the value and the minimum engagement count over the tier-on
-/// configurations (so callers can assert the tier provably engaged on
-/// every backend, not just one).
-fn assert_tier_identical(label: &str, outcomes: &[Outcome]) -> (Value, u64) {
-    let (first, rest) = outcomes.split_first().expect("matrix is non-empty");
-    let (v0, s0) = first
-        .result
-        .as_ref()
-        .unwrap_or_else(|e| panic!("{label} [{}]: failed: {e}", first.config));
-    for o in rest {
-        let (v, s) = o
-            .result
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{label} [{}]: failed: {e}", o.config));
-        assert_eq!(v0, v, "{label} [{}]: values differ", o.config);
-        assert_eq!(
-            format!("{v0}"),
-            format!("{v}"),
-            "{label} [{}]: printed values differ",
-            o.config
-        );
-        assert_eq!(s0, s, "{label} [{}]: EvalStats differ", o.config);
-    }
-    for o in outcomes.iter().filter(|o| !o.tier_on) {
-        assert_eq!(
-            o.engagements, 0,
-            "{label} [{}]: disabled tier reported engagements",
-            o.config
-        );
-    }
-    let on_min = outcomes
-        .iter()
-        .filter(|o| o.tier_on)
-        .map(|o| o.engagements)
-        .min()
-        .expect("tier-on configurations exist");
-    (v0.clone(), on_min)
-}
-
-/// Identity over an expression with named inputs, under benchmark limits.
-fn assert_expr_identical(
-    program: &Program,
-    names: &[&str],
-    inputs: &[Value],
-    expr: &Expr,
-    label: &str,
-) -> (Value, u64) {
-    let outcomes = run_matrix(program, EvalLimits::benchmark(), inputs, |ev, vals| {
-        let mut env = Env::new();
-        for (name, value) in names.iter().zip(vals) {
-            env.insert(*name, value.clone());
-        }
-        ev.eval(expr, &env)
-    });
-    assert_tier_identical(label, &outcomes)
-}
+use tier_harness::{
+    assert_algebra_matches_native, assert_expr_identical, assert_tier_identical, pair_set,
+    run_matrix, Gen,
+};
 
 // ---------------------------------------------------------------------------
 // The srl-bench query workloads, E1–E9: the storage tier must be
@@ -434,8 +300,7 @@ fn cross_tier_union_with_tuples_agrees() {
     // A columnar atom set unioned with a generic tuple set: the merge
     // crosses tiers and the result must widen to generic storage.
     let program = Program::srl();
-    let tuples = Value::set((0..40u64).map(|i| Value::tuple([Value::atom(i), Value::atom(i + 1)])));
-    let inputs = [atom_set(0..40u64), tuples];
+    let inputs = [atom_set(0..40u64), pair_set((0..40u64).map(|i| (i, i + 1)))];
     for (label, expr) in [
         ("atoms ∪ tuples", union(var("A"), var("B"))),
         ("tuples ∪ atoms", union(var("B"), var("A"))),
@@ -557,76 +422,25 @@ fn storage_threshold_edges_agree() {
 }
 
 // ---------------------------------------------------------------------------
-// Property tests: random id sets across densities, the full matrix.
+// Property tests: random id sets across densities, the full matrix,
+// cross-checked against native sets.
 // ---------------------------------------------------------------------------
 
-/// Deterministic case stream (SplitMix64 — same construction as the other
-/// property suites; failures print the case index for exact replay).
-struct Gen {
-    state: u64,
-}
-
-impl Gen {
-    fn new(seed: u64) -> Self {
-        Gen {
-            state: seed ^ 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-
-    /// Up to 80 ids drawn dense (small universe) or sparse (wide universe),
-    /// so generated sets land on every storage tier.
-    fn id_set(&mut self) -> Vec<u64> {
-        let len = self.below(80);
-        let universe = if self.below(2) == 0 { 128 } else { 100_000 };
-        (0..len).map(|_| self.below(universe)).collect()
-    }
+/// Up to 80 ids drawn dense (small universe) or sparse (wide universe),
+/// so generated sets land on every storage tier.
+fn id_set(g: &mut Gen) -> Vec<u64> {
+    let len = g.below(80);
+    let universe = if g.below(2) == 0 { 128 } else { 100_000 };
+    (0..len).map(|_| g.below(universe)).collect()
 }
 
 #[test]
 fn random_id_set_algebra_is_tier_invariant() {
-    let program = Program::srl();
     let mut g = Gen::new(11);
     for case in 0..24 {
-        let a = g.id_set();
-        let b = g.id_set();
+        let a = id_set(&mut g);
+        let b = id_set(&mut g);
         let probe = g.below(128);
-        let inputs = [atom_set(a.clone()), atom_set(b.clone())];
-        for (op, expr) in [
-            ("union", union(var("A"), var("B"))),
-            ("intersection", intersection(var("A"), var("B"))),
-            ("difference", difference(var("A"), var("B"))),
-            ("member", member(atom(probe), var("A"))),
-        ] {
-            let (v, _) = assert_expr_identical(
-                &program,
-                &["A", "B"],
-                &inputs,
-                &expr,
-                &format!("case {case} {op}"),
-            );
-            // Cross-check against native sets: the tier must not change
-            // *what* is computed either.
-            let sa: std::collections::BTreeSet<u64> = a.iter().copied().collect();
-            let sb: std::collections::BTreeSet<u64> = b.iter().copied().collect();
-            let expect: Value = match op {
-                "union" => atom_set(sa.union(&sb).copied().collect::<Vec<_>>()),
-                "intersection" => atom_set(sa.intersection(&sb).copied().collect::<Vec<_>>()),
-                "difference" => atom_set(sa.difference(&sb).copied().collect::<Vec<_>>()),
-                _ => Value::Bool(sa.contains(&probe)),
-            };
-            assert_eq!(v, expect, "case {case} {op}: a={a:?} b={b:?}");
-        }
+        assert_algebra_matches_native(case, &a, &b, &probe, |&i| Value::atom(i));
     }
 }

@@ -1,185 +1,39 @@
-//! Differential test: generic vs. columnar *tuple-set* storage.
+//! Differential test: set storage under relational (tuple-set) inputs.
 //!
-//! The struct-of-arrays rows tier (`srl-core::setrepr::Store::Rows`:
-//! k parallel sorted-lexicographic `u32` columns for sets of fixed-arity
-//! plain-atom tuples) promises to be **pure representation**, exactly
-//! like the atom tiers before it: for every program, identical `Value`
-//! results, identical *printed* results (named-component copies
-//! included), and byte-identical `EvalStats` whether the tier is enabled
-//! or disabled, on every backend (tree-walk, sequential VM, pooled VM at
-//! 2 and 4 threads). This suite drives the full 2×4 matrix over the
-//! E1–E9 srl-bench workloads through their *relational* lens — pair-edge
-//! closures (E5), table joins (E9), product relations — proves via the
-//! per-tier engagement breakdown (`Evaluator::tier_engagement_breakdown`)
-//! that the rows tier actually engages where fixed-arity tuples
-//! accumulate and provably stays out when disabled, and stresses the
-//! promotion/demotion edges the adaptive storage decisions hinge on
-//! (arity changes mid-fold, non-atom components, named duplicates, the
-//! inline-capacity threshold).
+//! Tuple sets live on the generic stores (`Small`/`Spilled`), but the
+//! relational workloads fold them into, project them onto and probe them
+//! against columnar atom sets (`Atoms`/`Bits`), so their evaluations cross
+//! stores constantly. Representation must stay invisible here too: for
+//! every program, identical `Value` results, identical *printed* results
+//! (named-component copies included), and byte-identical `EvalStats`
+//! whether the columnar tier is enabled or disabled, on every backend
+//! (tree-walk, sequential VM, pooled VM at 2 and 4 threads). This suite
+//! drives the full 2×4 matrix over the E1–E9 srl-bench workloads through
+//! their *relational* lens — pair-edge closures (E5), table joins (E9),
+//! product relations — and stresses the shape changes the adaptive
+//! storage decisions hinge on (arity changes mid-fold, non-atom
+//! components, named duplicates, the inline-capacity threshold).
 //!
-//! The toggle (`set_atom_tier_enabled`) gates every columnar tier,
-//! including rows; inputs are rebuilt under each configuration's toggle
-//! so the "off" runs really evaluate generic-tier values.
+//! The atom-set matrix lives in `set_tier_differential.rs`; both run on
+//! the shared `tier_harness`, which also pins the retired `rows`
+//! engagement slot at 0 on every configuration.
 
-use std::sync::Arc;
+mod tier_harness;
 
 use srl_core::dsl::*;
-use srl_core::setrepr::set_atom_tier_enabled;
-use srl_core::{
-    Dialect, Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Expr, Program,
-    TierEngagements, Value,
-};
+use srl_core::{Dialect, EvalLimits, Program, Value};
 use srl_integration_tests::atom_set;
 use srl_stdlib::derived::{difference, intersection, member, union};
-
-/// Restores the ambient tier toggle when dropped, so a failing assertion
-/// in one test cannot leak a disabled tier into the rest of its thread.
-struct TierGuard(bool);
-
-impl TierGuard {
-    fn set(on: bool) -> Self {
-        TierGuard(set_atom_tier_enabled(on))
-    }
-}
-
-impl Drop for TierGuard {
-    fn drop(&mut self) {
-        set_atom_tier_enabled(self.0);
-    }
-}
-
-/// Deep structural rebuild: every set in the result is re-constructed
-/// under the *current* toggle, so the value's storage tiers reflect the
-/// configuration under measurement rather than the one it was built in.
-fn rebuild(v: &Value) -> Value {
-    match v {
-        Value::Bool(_) | Value::Atom(_) | Value::Nat(_) => v.clone(),
-        Value::Tuple(items) => Value::tuple(items.iter().map(rebuild)),
-        Value::Set(items) => Value::set(items.iter().map(|e| rebuild(&e))),
-        Value::List(items) => Value::list(items.iter().map(rebuild)),
-    }
-}
-
-/// A set of pair tuples `(i, j)` — the canonical rows-tier inhabitant.
-fn pair_set(pairs: impl IntoIterator<Item = (u64, u64)>) -> Value {
-    Value::set(
-        pairs
-            .into_iter()
-            .map(|(i, j)| Value::tuple([Value::atom(i), Value::atom(j)])),
-    )
-}
-
-fn backends() -> Vec<(&'static str, ExecBackend)> {
-    vec![
-        ("tree-walk", ExecBackend::TreeWalk),
-        ("vm[1]", ExecBackend::vm()),
-        ("vm[2]", ExecBackend::vm_with_threads(2)),
-        ("vm[4]", ExecBackend::vm_with_threads(4)),
-    ]
-}
-
-struct Outcome {
-    config: String,
-    tier_on: bool,
-    result: Result<(Value, EvalStats), EvalError>,
-    engagements: TierEngagements,
-}
-
-/// Runs `f` under every (tier, backend) configuration over one shared
-/// compiled program. `inputs` are rebuilt under each configuration's
-/// toggle and handed to `f` in order.
-fn run_matrix(
-    program: &Program,
-    limits: EvalLimits,
-    inputs: &[Value],
-    mut f: impl FnMut(&mut Evaluator, &[Value]) -> Result<Value, EvalError>,
-) -> Vec<Outcome> {
-    let compiled = Arc::new(program.compile());
-    let mut out = Vec::new();
-    for tier_on in [true, false] {
-        let _guard = TierGuard::set(tier_on);
-        let rebuilt: Vec<Value> = inputs.iter().map(rebuild).collect();
-        for (name, backend) in backends() {
-            let mut ev = Evaluator::with_compiled(program, Arc::clone(&compiled), limits)
-                .expect("compiled from this program")
-                .with_backend(backend);
-            let result = f(&mut ev, &rebuilt).map(|v| (v, *ev.stats()));
-            out.push(Outcome {
-                config: format!("tier-{} {name}", if tier_on { "on" } else { "off" }),
-                tier_on,
-                result,
-                engagements: ev.tier_engagement_breakdown(),
-            });
-        }
-    }
-    out
-}
-
-/// Asserts every configuration produced the same value (structurally
-/// *and* as printed — named-atom copies must not drift), byte-identical
-/// `EvalStats`, and that the disabled tier never reported an engagement
-/// on *any* tier. Returns the value and the minimum **rows**-tier
-/// engagement count over the tier-on configurations (so callers can
-/// assert the rows tier provably engaged on every backend, not just one).
-fn assert_tier_identical(label: &str, outcomes: &[Outcome]) -> (Value, u64) {
-    let (first, rest) = outcomes.split_first().expect("matrix is non-empty");
-    let (v0, s0) = first
-        .result
-        .as_ref()
-        .unwrap_or_else(|e| panic!("{label} [{}]: failed: {e}", first.config));
-    for o in rest {
-        let (v, s) = o
-            .result
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{label} [{}]: failed: {e}", o.config));
-        assert_eq!(v0, v, "{label} [{}]: values differ", o.config);
-        assert_eq!(
-            format!("{v0}"),
-            format!("{v}"),
-            "{label} [{}]: printed values differ",
-            o.config
-        );
-        assert_eq!(s0, s, "{label} [{}]: EvalStats differ", o.config);
-    }
-    for o in outcomes.iter().filter(|o| !o.tier_on) {
-        assert_eq!(
-            o.engagements.total(),
-            0,
-            "{label} [{}]: disabled tier reported engagements",
-            o.config
-        );
-    }
-    let rows_min = outcomes
-        .iter()
-        .filter(|o| o.tier_on)
-        .map(|o| o.engagements.rows)
-        .min()
-        .expect("tier-on configurations exist");
-    (v0.clone(), rows_min)
-}
-
-/// Identity over an expression with named inputs, under benchmark limits.
-fn assert_expr_identical(
-    program: &Program,
-    names: &[&str],
-    inputs: &[Value],
-    expr: &Expr,
-    label: &str,
-) -> (Value, u64) {
-    let outcomes = run_matrix(program, EvalLimits::benchmark(), inputs, |ev, vals| {
-        let mut env = Env::new();
-        for (name, value) in names.iter().zip(vals) {
-            env.insert(*name, value.clone());
-        }
-        ev.eval(expr, &env)
-    });
-    assert_tier_identical(label, &outcomes)
-}
+use tier_harness::{
+    assert_algebra_matches_native, assert_expr_identical, assert_tier_identical, pair_set,
+    run_matrix, Gen,
+};
 
 // ---------------------------------------------------------------------------
 // The srl-bench workloads, E1–E9, through their relational lens: the
-// rows tier must be unobservable in values, display, and stats, and it
-// must provably engage where fixed-arity atom tuples accumulate.
+// storage must be unobservable in values, display, and stats, and the
+// columnar tier must provably engage where the relational folds meet
+// atom sets. The `_rows` names date from the retired rows store.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -187,16 +41,17 @@ fn e1_apath_agrees_and_engages_rows() {
     use srl_stdlib::agap::{apath_program, names};
     use workloads::altgraph::AlternatingGraph;
 
-    // The alternating-path edges are pair tuples: the traversed relation
-    // lives on the rows tier on every backend.
+    // The alternating-path edges are pair tuples on the generic stores;
+    // the node sets the traversal accumulates are atom sets, which engage
+    // the columnar tier on every backend.
     let program = apath_program();
     let graph = AlternatingGraph::random(6, 0.25, 13);
     let inputs = [graph.nodes_value(), graph.edges_value(), graph.ands_value()];
     let outcomes = run_matrix(&program, EvalLimits::benchmark(), &inputs, |ev, vals| {
         ev.call(names::APATH, vals)
     });
-    let (_, rows_min) = assert_tier_identical("E1 APATH", &outcomes);
-    assert!(rows_min > 0, "E1: rows tier did not engage on some backend");
+    let (_, on_min) = assert_tier_identical("E1 APATH", &outcomes);
+    assert!(on_min > 0, "E1: tier did not engage on some backend");
 }
 
 #[test]
@@ -204,7 +59,7 @@ fn e2_powerset_of_a_relation_agrees() {
     use srl_stdlib::blowup::{names, powerset_program};
 
     // Powerset over a *pair-tuple* ground set: the subsets are tuple sets
-    // that promote as they cross the inline capacity.
+    // that spill as they cross the inline capacity.
     let program = powerset_program();
     let inputs = [pair_set((0..5u64).map(|i| (i, i + 1)))];
     let outcomes = run_matrix(&program, EvalLimits::default(), &inputs, |ev, vals| {
@@ -252,8 +107,9 @@ fn e5_tc_dtc_agree_and_engage_rows() {
     use srl_bench::queries;
     use workloads::digraph::Digraph;
 
-    // The E5 closures accumulate the pair *relation*: the core rows-tier
-    // workload. Engagement must hold on every backend.
+    // The E5 closures accumulate the pair *relation* on the generic
+    // stores while folding over the vertex set, an atom set: engagement
+    // must hold on every backend.
     let program = Program::new(Dialect::full());
     for n in [6usize, 14] {
         let g = Digraph::random(n, 2.0 / n as f64, 23 + n as u64);
@@ -262,7 +118,7 @@ fn e5_tc_dtc_agree_and_engage_rows() {
             ("E5 TC", queries::tc_query()),
             ("E5 DTC", queries::dtc_query()),
         ] {
-            let (_, rows_min) = assert_expr_identical(
+            let (_, on_min) = assert_expr_identical(
                 &program,
                 &["D", "E"],
                 &inputs,
@@ -271,8 +127,8 @@ fn e5_tc_dtc_agree_and_engage_rows() {
             );
             if n == 14 {
                 assert!(
-                    rows_min > 0,
-                    "{label} n={n}: rows tier did not engage on some backend"
+                    on_min > 0,
+                    "{label} n={n}: tier did not engage on some backend"
                 );
             }
         }
@@ -342,20 +198,21 @@ fn e9_relational_queries_agree_and_engage_rows() {
     use workloads::tables::CompanyDatabase;
 
     // The E9 tables are fixed-arity atom-tuple relations; the join
-    // traverses one and produces another — both on the rows tier.
+    // traverses one and produces another. Both stay on the generic
+    // stores, so the join must agree without engaging a columnar one.
     let program = Program::new(Dialect::full());
     let db = CompanyDatabase::generate(32, 8, 4, 47);
     let inputs = [db.employees_value(), db.departments_value()];
-    let (_, rows_min) = assert_expr_identical(
+    let (_, on_min) = assert_expr_identical(
         &program,
         &["EMP", "DEPT"],
         &inputs,
         &queries::company_join(),
         "E9 join",
     );
-    assert!(
-        rows_min > 0,
-        "E9 join: rows tier did not engage on some backend"
+    assert_eq!(
+        on_min, 0,
+        "E9 join: a tuple relation engaged a columnar store"
     );
     assert_expr_identical(
         &program,
@@ -370,11 +227,11 @@ fn e9_relational_queries_agree_and_engage_rows() {
 fn product_relation_agrees_and_engages_rows() {
     use srl_bench::queries;
 
-    // A × B: every accumulated element is a plain pair — the purest
-    // rows-tier workload (bulk unions of column slices).
+    // A × B: every accumulated element is a plain pair, built by folding
+    // over two atom sets that engage the columnar tier.
     let program = Program::new(Dialect::full());
     let inputs = [atom_set(0..12u64), atom_set(0..10u64)];
-    let (v, rows_min) = assert_expr_identical(
+    let (v, on_min) = assert_expr_identical(
         &program,
         &["A", "B"],
         &inputs,
@@ -382,23 +239,19 @@ fn product_relation_agrees_and_engages_rows() {
         "A × B",
     );
     assert_eq!(v.len(), Some(120));
-    assert!(
-        rows_min > 0,
-        "product: rows tier did not engage on some backend"
-    );
+    assert!(on_min > 0, "product: tier did not engage on some backend");
 }
 
 // ---------------------------------------------------------------------------
-// Mixed-shape adversaries: promotions, demotions, and cross-tier merges
+// Mixed-shape adversaries: shape changes and cross-store merges
 // mid-evaluation.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn arity_change_mid_fold_agrees() {
     // The combiner inserts the pair for members of T and its first
-    // component (a bare atom) otherwise: the accumulator promotes to the
-    // rows tier while same-arity inserts land, then demotes in place on
-    // the first foreign shape. Identity must survive on every backend.
+    // component (a bare atom) otherwise: the accumulator alternates
+    // between pairs and atoms. Identity must survive on every backend.
     let program = Program::srl();
     let expr = set_reduce(
         var("S"),
@@ -423,8 +276,8 @@ fn arity_change_mid_fold_agrees() {
 
 #[test]
 fn widening_tuple_contents_agree() {
-    // Mixed-arity unions, nat-component tuples, and tuple∪atom mixes all
-    // force demotion out of the rows tier mid-merge.
+    // Mixed-arity unions, nat-component tuples, and tuple∪atom mixes
+    // merge shapes within the generic stores and across the columnar one.
     let program = Program::srl();
     let unary = Value::set((0..20u64).map(|i| Value::tuple([Value::atom(i)])));
     let pairs = pair_set((0..20u64).map(|i| (i, i)));
@@ -450,8 +303,8 @@ fn widening_tuple_contents_agree() {
 fn named_component_first_wins_survives_the_tier() {
     // Tuples with named components are equal to their plain-rank twins
     // but display differently; first-wins must keep exactly the same copy
-    // whether the target set is columnar or generic (a named duplicate
-    // must not widen a row store or replace its plain copy).
+    // whichever store the target set is on (a named duplicate must not
+    // replace its plain copy).
     let program = Program::srl();
     let named = Value::set(
         (0..15u64)
@@ -470,8 +323,8 @@ fn named_component_first_wins_survives_the_tier() {
     );
     assert_eq!(v.len(), Some(30));
     assert!(format!("{v}").contains("v0"), "{v}");
-    // …and with the columnar A as base the plain ranks stay: a named
-    // duplicate answered `false` without widening the storage.
+    // …and with A as base the plain ranks stay: a named duplicate
+    // answered `false`.
     let (v, _) = assert_expr_identical(
         &program,
         &["A", "N"],
@@ -484,18 +337,18 @@ fn named_component_first_wins_survives_the_tier() {
 }
 
 // ---------------------------------------------------------------------------
-// Promotion edges: the storage decision flips at the inline capacity.
+// Storage edges: tuple sets spill at the inline capacity.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn tuple_storage_threshold_edges_agree() {
     let program = Program::srl();
     let cases: Vec<(&str, Vec<(u64, u64)>)> = vec![
-        // Inline capacity edge: 4 stays inline, 5 promotes to rows.
+        // Inline capacity edge: 4 stays inline, 5 spills.
         ("len 3", (0..3).map(|i| (i, i + 1)).collect()),
         ("len 4", (0..4).map(|i| (i, i + 1)).collect()),
         ("len 5", (0..5).map(|i| (i, i + 1)).collect()),
-        // Shared-prefix columns stress the per-column narrowing.
+        // Shared first components stress the lexicographic order.
         ("shared prefix", (0..40).map(|i| (i / 8, i)).collect()),
         // Wide arity-3-like spread via big second components.
         ("wide ids", (0..40).map(|i| (i, i * 1_000)).collect()),
@@ -531,98 +384,26 @@ fn tuple_storage_threshold_edges_agree() {
 // cross-checked against native sets.
 // ---------------------------------------------------------------------------
 
-/// Deterministic case stream (SplitMix64 — same construction as the other
-/// property suites; failures print the case index for exact replay).
-struct Gen {
-    state: u64,
-}
-
-impl Gen {
-    fn new(seed: u64) -> Self {
-        Gen {
-            state: seed ^ 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-
-    /// Up to 60 tuples of the given arity, drawn dense (small universe) or
-    /// sparse (wide universe), so generated sets land on every tier.
-    fn tuple_set(&mut self, arity: usize) -> Vec<Vec<u64>> {
-        let len = self.below(60);
-        let universe = if self.below(2) == 0 { 16 } else { 100_000 };
-        (0..len)
-            .map(|_| (0..arity).map(|_| self.below(universe)).collect())
-            .collect()
-    }
-}
-
-fn tuples_value(rows: &[Vec<u64>]) -> Value {
-    Value::set(
-        rows.iter()
-            .map(|r| Value::tuple(r.iter().map(|&i| Value::atom(i)))),
-    )
+/// Up to 60 tuples of the given arity, drawn dense (small universe) or
+/// sparse (wide universe).
+fn tuple_set(g: &mut Gen, arity: usize) -> Vec<Vec<u64>> {
+    let len = g.below(60);
+    let universe = if g.below(2) == 0 { 16 } else { 100_000 };
+    (0..len)
+        .map(|_| (0..arity).map(|_| g.below(universe)).collect())
+        .collect()
 }
 
 #[test]
 fn random_tuple_set_algebra_is_tier_invariant() {
-    let program = Program::srl();
     let mut g = Gen::new(29);
     for case in 0..16 {
         let arity = 1 + (case % 3);
-        let a = g.tuple_set(arity);
-        let b = g.tuple_set(arity);
-        let probe: Vec<u64> = (0..arity as u64).map(|_| g.below(16)).collect();
-        let inputs = [tuples_value(&a), tuples_value(&b)];
-        for (op, expr) in [
-            ("union", union(var("A"), var("B"))),
-            ("intersection", intersection(var("A"), var("B"))),
-            ("difference", difference(var("A"), var("B"))),
-            (
-                "member",
-                member(tuple(probe.iter().map(|&i| atom(i))), var("A")),
-            ),
-        ] {
-            let (v, _) = assert_expr_identical(
-                &program,
-                &["A", "B"],
-                &inputs,
-                &expr,
-                &format!("case {case} {op}"),
-            );
-            // Cross-check against native sets: the tier must not change
-            // *what* is computed either.
-            let sa: std::collections::BTreeSet<&Vec<u64>> = a.iter().collect();
-            let sb: std::collections::BTreeSet<&Vec<u64>> = b.iter().collect();
-            match op {
-                "member" => assert_eq!(
-                    v,
-                    Value::Bool(sa.contains(&probe)),
-                    "case {case} member: a={a:?} probe={probe:?}"
-                ),
-                _ => {
-                    let expect: Vec<Vec<u64>> = match op {
-                        "union" => sa.union(&sb).map(|r| (*r).clone()).collect(),
-                        "intersection" => sa.intersection(&sb).map(|r| (*r).clone()).collect(),
-                        _ => sa.difference(&sb).map(|r| (*r).clone()).collect(),
-                    };
-                    assert_eq!(
-                        v,
-                        tuples_value(&expect),
-                        "case {case} {op}: a={a:?} b={b:?}"
-                    );
-                }
-            }
-        }
+        let a = tuple_set(&mut g, arity);
+        let b = tuple_set(&mut g, arity);
+        let probe: Vec<u64> = (0..arity).map(|_| g.below(16)).collect();
+        assert_algebra_matches_native(case, &a, &b, &probe, |t| {
+            Value::tuple(t.iter().map(|&i| Value::atom(i)))
+        });
     }
 }
