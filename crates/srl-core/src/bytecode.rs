@@ -53,12 +53,18 @@
 //!   afterwards compiles to [`Insn::Take`] instead of a clone, so the
 //!   accumulator threaded through an `insert`-fold (or through a call like
 //!   the powerset's `finsert`) stays uniquely owned and every
-//!   `Arc::make_mut` mutates in place instead of copying;
+//!   `Arc::make_mut` mutates in place instead of copying. The `base` of a
+//!   fold in tail position counts as such a read when neither its `extra`
+//!   nor either lambda body reads the slot (the `set` operand runs first,
+//!   so it may): the stdlib `cartesian`'s combiner `union(slice, acc)` hands
+//!   the fused union its accumulator outright, and the union appends a
+//!   slice that sorts after it in place;
 //! * **fold superinstructions** — a `set-reduce` whose lambdas match one of
 //!   the stdlib's shapes compiles to a single fused [`ReduceKind`]:
 //!   [`ReduceKind::Member`] (the `member` scan becomes a binary search),
 //!   [`ReduceKind::Union`] (the `union` insert-fold becomes one bulk
-//!   `SetMerge` over [`SetRepr::merge_union`](crate::setrepr::SetRepr)),
+//!   `SetMerge` over [`SetRepr::merge_union`](crate::setrepr::SetRepr), or
+//!   an in-place append onto an owned accumulator),
 //!   [`ReduceKind::InsertApp`]/[`ReduceKind::Filter`]/[`ReduceKind::Scan`]/
 //!   [`ReduceKind::BoolAcc`] (`map`/`select`/`difference`-style folds with
 //!   the accumulator lambda emulated arithmetically), and
@@ -586,7 +592,9 @@ pub enum ReduceKind {
     /// arithmetic — the result is a binary search.
     Member,
     /// `app = identity`, `acc = λ(x,y). insert(x, y)`: the `union`
-    /// insert-fold. One bulk sorted merge (`SetRepr::merge_union`).
+    /// insert-fold. One bulk sorted merge (`SetRepr::merge_union`), or an
+    /// in-place append when the fold owns its accumulator and the set sorts
+    /// wholly after it.
     Union,
     /// Arbitrary `app`, `acc = λ(x,y). insert(x, y)`: map-style folds. The
     /// accumulator lambda is emulated arithmetically; inserts land in a
@@ -1081,7 +1089,7 @@ impl<'a> Codegen<'a> {
                 extra,
             } => {
                 self.gen_reduce(
-                    fs, code, floor, *set, app, acc, *base, *extra, d, dst, false,
+                    fs, code, floor, *set, app, acc, *base, *extra, d, dst, tail, false,
                 );
             }
             LExpr::ListReduce {
@@ -1097,7 +1105,7 @@ impl<'a> Codegen<'a> {
                     depth: d,
                 });
                 self.gen_reduce(
-                    fs, code, floor, *list, app, acc, *base, *extra, d, dst, true,
+                    fs, code, floor, *list, app, acc, *base, *extra, d, dst, false, true,
                 );
             }
             LExpr::Call { def, args } => {
@@ -1353,12 +1361,27 @@ impl<'a> Codegen<'a> {
         extra: LId,
         d: u32,
         dst: Reg,
+        tail: bool,
         is_list: bool,
     ) {
         let rset = fs.alloc();
         self.gen(fs, code, floor, set, d + 1, rset, false, false);
+        // The base is the fold's initial accumulator: a tail fold may move
+        // it out of a dead slot (so a fused `union` owns it and can append
+        // in place) unless `extra` or a lambda body still reads that slot.
+        // `set` ran first, so it may read it.
+        let base_tail = tail
+            && match self.node(base) {
+                LExpr::Local(slot) => {
+                    let slot = *slot as u16;
+                    ![extra, app.body, acc.body]
+                        .into_iter()
+                        .any(|id| reads_slot(self.nodes, id, slot))
+                }
+                _ => false,
+            };
         let rbase = fs.alloc();
-        self.gen(fs, code, floor, base, d + 1, rbase, false, false);
+        self.gen(fs, code, floor, base, d + 1, rbase, base_tail, false);
         let rextra = fs.alloc();
         self.gen(fs, code, floor, extra, d + 1, rextra, false, false);
         let x_slot = fs.height;
@@ -1801,7 +1824,7 @@ fn max_lexical_height(nodes: &[LExpr], id: LId, h: u16) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Lambda;
+    use crate::ast::{Expr, Lambda};
     use crate::dsl::*;
     use crate::program::Program;
 
@@ -1931,6 +1954,111 @@ mod tests {
         );
         let (_, chunk) = expr_chunk(&e, &["T", "p", "s"]);
         assert!(matches!(main_kind(&chunk), ReduceKind::Monotone { .. }));
+    }
+
+    /// The instruction that loads the base (initial accumulator) of the
+    /// first fold in `block`.
+    fn base_load(chunk: &Chunk, block: BlockId) -> &Insn {
+        let code = chunk.block(block).code();
+        let r = code
+            .iter()
+            .find_map(|i| match i {
+                Insn::Reduce(r) => Some(r),
+                _ => None,
+            })
+            .expect("block holds a fold");
+        code.iter()
+            .find(
+                |i| matches!(i, Insn::Take { dst, .. } | Insn::Copy { dst, .. } if *dst == r.base),
+            )
+            .expect("the base is a slot read")
+    }
+
+    /// The stdlib `union(slice, base)` (an insert-fold of `slice` into
+    /// `base`), with `extra` in place of its unused `emptyset`.
+    fn union_fold(slice: Expr, base: Expr, extra: Expr) -> Expr {
+        set_reduce(
+            slice,
+            Lambda::identity(),
+            lam("u", "a", insert(var("u"), var("a"))),
+            base,
+            extra,
+        )
+    }
+
+    #[test]
+    fn cartesian_combiner_moves_its_accumulator_into_the_union() {
+        // The stdlib `cartesian`: the combiner unions each slice into the
+        // accumulator parameter, which is dead once the union starts.
+        let e = set_reduce(
+            var("A"),
+            lam(
+                "a",
+                "bs",
+                set_reduce(
+                    var("bs"),
+                    lam("b", "aa", tuple([var("aa"), var("b")])),
+                    lam("o", "out", insert(var("o"), var("out"))),
+                    empty_set(),
+                    var("a"),
+                ),
+            ),
+            lam(
+                "slice",
+                "acc",
+                union_fold(var("slice"), var("acc"), empty_set()),
+            ),
+            empty_set(),
+            var("B"),
+        );
+        let (_, chunk) = expr_chunk(&e, &["A", "B"]);
+        let ReduceKind::Generic { acc, .. } = main_kind(&chunk) else {
+            panic!("cartesian's outer fold is generic");
+        };
+        assert!(matches!(block_reduce(&chunk, *acc).kind, ReduceKind::Union));
+        let load = base_load(&chunk, *acc);
+        assert!(matches!(load, Insn::Take { .. }), "{load:?}");
+    }
+
+    #[test]
+    fn fold_base_read_afterwards_is_copied() {
+        let combiner = |body| {
+            set_reduce(
+                var("S"),
+                Lambda::identity(),
+                lam("slice", "acc", body),
+                empty_set(),
+                empty_set(),
+            )
+        };
+        let reads_acc = set_reduce(
+            var("slice"),
+            lam("x", "e", tuple([var("x"), var("acc")])),
+            lam("u", "a", insert(var("u"), var("a"))),
+            var("acc"),
+            empty_set(),
+        );
+        for (label, body) in [
+            (
+                "read by extra",
+                union_fold(var("slice"), var("acc"), var("acc")),
+            ),
+            ("read in a lambda body", reads_acc),
+            (
+                "not in tail position",
+                tuple([
+                    union_fold(var("slice"), var("acc"), empty_set()),
+                    var("slice"),
+                ]),
+            ),
+        ] {
+            let (_, chunk) = expr_chunk(&combiner(body), &["S"]);
+            let ReduceKind::Generic { acc, .. } = main_kind(&chunk) else {
+                panic!("{label}: the outer fold is generic");
+            };
+            let load = base_load(&chunk, *acc);
+            assert!(matches!(load, Insn::Copy { .. }), "{label}: {load:?}");
+        }
     }
 
     #[test]

@@ -1105,6 +1105,33 @@ impl SetRepr {
         SetRepr::from_sorted_vec(merge_union_sorted(a, b, skewed(a.len(), b.len())))
     }
 
+    /// Appends every element of `tail` in place when all of them sort
+    /// strictly after `self`'s last element — the in-place form of
+    /// [`SetRepr::merge_union`] for a fold that grows a uniquely held
+    /// accumulator slice by slice in ascending order. Every appended element
+    /// is novel, so the result is the merge's, at O(|tail|) instead of
+    /// O(|self| + |tail|). Applies only to a spilled vector whose last
+    /// element is not a plain atom: the merge could then never promote the
+    /// union to a columnar tier, so the in-place result keeps the tier the
+    /// merge would pick. Returns the appended elements' total weight, or
+    /// `None` (leaving `self` untouched) when it does not apply.
+    pub(crate) fn append_after(&mut self, tail: &SetRepr) -> Option<usize> {
+        let Store::Spilled { items, start } = &mut self.store else {
+            return None;
+        };
+        let last = items[*start..].last()?;
+        let first = tail.elems().next()?;
+        if plain_id(last).is_some() || cmp_elem(&first, &ElemRef::Val(last)) != Ordering::Greater {
+            return None;
+        }
+        let mut weight = 0usize;
+        items.extend(
+            tail.iter()
+                .inspect(|v| weight = weight.saturating_add(v.weight())),
+        );
+        Some(weight)
+    }
+
     /// `self \ other` as a bulk sweep over the two sorted representations —
     /// the bulk form of testing each element of `self` for membership in
     /// `other` and keeping the misses. Same tier dispatch as
@@ -1550,6 +1577,41 @@ mod tests {
         // Identities.
         assert_eq!(a.merge_union(&SetRepr::new()), a);
         assert_eq!(SetRepr::new().merge_union(&b), b);
+    }
+
+    #[test]
+    fn append_after_matches_merge_union_or_declines() {
+        let pairs = |r: std::ops::Range<u64>| -> SetRepr {
+            r.map(|i| Value::tuple([Value::atom(i), Value::atom(i)]))
+                .collect()
+        };
+        // A spilled tuple set and a slice wholly after it: appended in
+        // place, equal to the merge, charged the slice's weight.
+        let mut acc = pairs(0..8);
+        let slice = pairs(8..12);
+        let merged = acc.merge_union(&slice);
+        assert_eq!(acc.append_after(&slice), Some(12));
+        assert_eq!(acc, merged);
+        assert_eq!(acc.tier_label(), merged.tier_label());
+        // Declines, untouched: a slice starting at or before the last
+        // element, an inline accumulator, and a last element that is a
+        // plain atom (the merge might promote the union to a columnar tier).
+        let mut acc = pairs(0..8);
+        assert_eq!(acc.append_after(&pairs(7..12)), None);
+        assert_eq!(acc.append_after(&pairs(3..4)), None);
+        assert_eq!(acc, pairs(0..8));
+        assert_eq!(pairs(0..2).append_after(&pairs(8..9)), None);
+        let _off = TierGuard::off();
+        let mut plain = atoms(0..8);
+        assert_eq!(plain.tier_label(), "spilled");
+        assert_eq!(plain.append_after(&atoms(8..9)), None);
+        // A named last atom keeps the union generic: appended.
+        let mut named: SetRepr = (0..7)
+            .map(Value::atom)
+            .chain([Value::named_atom(7, "last")])
+            .collect();
+        assert_eq!(named.append_after(&atoms(8..10)), Some(2));
+        assert_eq!(named.len(), 10);
     }
 
     #[test]

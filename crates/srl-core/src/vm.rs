@@ -14,9 +14,10 @@
 //! The interesting work is in the fused [`ReduceKind`]s, which replay the
 //! tree-walk's per-iteration accounting in closed form (batched step/depth
 //! charges, arithmetic accumulator-weight tracking) while the data path runs
-//! as a binary search ([`ReduceKind::Member`]), a bulk sorted merge
-//! ([`ReduceKind::Union`] over [`SetRepr::merge_union`]), or an in-place
-//! insert loop on a uniquely-held accumulator (the other fused kinds).
+//! as a binary search ([`ReduceKind::Member`]), a bulk sorted merge or an
+//! in-place append ([`ReduceKind::Union`] over [`SetRepr::merge_union`] /
+//! `SetRepr::append_after`), or an in-place insert loop on a uniquely-held
+//! accumulator (the other fused kinds).
 //! Batching is sound because every limit counter is monotone: a batch total
 //! crosses the budget if and only if some step inside the batch crossed it.
 
@@ -761,31 +762,45 @@ fn run_reduce(
             } else {
                 let w0 = weight_capped(&base_v, ACCUMULATOR_WEIGHT_CAP);
                 match base_v {
-                    Value::Set(b) => {
+                    Value::Set(mut b) => {
                         // Per element: identity app is 1 step at d+2, the
                         // insert body 3 steps (insert at d+2, two slot reads
                         // at d+3); each insert charges the element's weight.
                         core.stats.reduce_iterations += n as u64;
                         core.bump_batch(4 * n as u64, d + 3)?;
                         core.stats.inserts += n as u64;
-                        // Per-element weight and novelty charges without
-                        // materialising values: columnar operands walk id
-                        // space (O(1)-word novelty when the accumulator is
-                        // dense), generic ones the same cursor merge as the
-                        // old two-pointer scan.
-                        let mut charged = 0usize;
-                        let mut acc_w = w0;
-                        b.for_each_novelty(&items, |w, novel| {
-                            charged = charged.saturating_add(w);
-                            if novel {
-                                acc_w = cap_add(acc_w, w);
-                            }
-                        });
-                        core.charge_allocation(charged)?;
-                        core.note_accumulator_weight(capped(acc_w));
-                        // One bulk sorted merge; ties keep the accumulator's
-                        // copy, exactly like the insert fold.
-                        Value::Set(Arc::new(b.merge_union(&items)))
+                        // Append path: an accumulator this fold owns outright
+                        // (codegen moved it out of a dead slot) and a slice
+                        // sorting wholly after it — the shape of building a
+                        // relation slice by slice — grows in place in
+                        // O(|slice|). Every element is novel, so the charges
+                        // are the slice's weight sum, in closed form.
+                        if let Some(charged) =
+                            Arc::get_mut(&mut b).and_then(|acc| acc.append_after(&items))
+                        {
+                            core.charge_allocation(charged)?;
+                            core.note_accumulator_weight(cap_add(w0, charged));
+                            Value::Set(b)
+                        } else {
+                            // Per-element weight and novelty charges without
+                            // materialising values: columnar operands walk id
+                            // space (O(1)-word novelty when the accumulator
+                            // is dense), generic ones one cursor merge.
+                            let mut charged = 0usize;
+                            let mut acc_w = w0;
+                            b.for_each_novelty(&items, |w, novel| {
+                                charged = charged.saturating_add(w);
+                                if novel {
+                                    acc_w = cap_add(acc_w, w);
+                                }
+                            });
+                            core.charge_allocation(charged)?;
+                            core.note_accumulator_weight(capped(acc_w));
+                            // One bulk sorted merge; ties keep the
+                            // accumulator's copy, exactly like the insert
+                            // fold.
+                            Value::Set(Arc::new(b.merge_union(&items)))
+                        }
                     }
                     other => {
                         // First iteration, replayed: the identity app, then

@@ -307,6 +307,81 @@ fn reuse_after_error_leaves_the_pooled_evaluator_byte_identical_to_fresh() {
 }
 
 #[test]
+fn fold_from_a_bound_relation_never_mutates_the_binding() {
+    let _g = serialized();
+    let handle = spawn(ServeConfig::default());
+    let mut client = Client::connect(&handle);
+
+    // `grow` unions each slice into its accumulator, starting from `B`. R
+    // sorts wholly before every slice, so only R being shared with the
+    // tenant environment (or the literal with the cached program) keeps
+    // the fused union from appending into it in place.
+    let row = |k: u64| -> String {
+        let pairs: Vec<String> = (0..6).map(|j| format!("[d{k}, d{j}]")).collect();
+        format!("{{{}}}", pairs.join(", "))
+    };
+    let slices: Vec<String> = (1..9).map(row).collect();
+    let mut bound_r = None;
+    for (name, value) in [
+        ("R", row(0)),
+        ("SLICES", format!("{{{}}}", slices.join(", "))),
+    ] {
+        let bound = client.request(&format!(
+            "{{\"v\": 1, \"kind\": \"bind\", \"name\": \"{name}\", \"value\": \"{value}\"}}"
+        ));
+        assert_eq!(
+            bound.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{bound:?}"
+        );
+        if name == "R" {
+            bound_r = bound.get("value").cloned();
+        }
+    }
+    let program = format!(
+        "grow(S, B) = set-reduce(S, lambda(s, e) s, lambda(slice, acc) set-reduce(slice, \
+         lambda(x, y) x, lambda(u, a) insert(u, a), acc, emptyset), B, emptyset)\\n\
+         lit(S) = grow(S, {})",
+        row(0)
+    );
+    let run = |client: &mut Client, expr: &str| -> Json {
+        client.request(&format!(
+            "{{\"v\": 1, \"kind\": \"run\", \"program\": \"{program}\", \"expr\": \"{expr}\"}}"
+        ))
+    };
+    let runs: Vec<Json> = [
+        "grow(SLICES, R)",
+        "grow(SLICES, R)",
+        "lit(SLICES)",
+        "lit(SLICES)",
+    ]
+    .into_iter()
+    .map(|expr| run(&mut client, expr))
+    .collect();
+    let result = runs[0]
+        .get("result")
+        .and_then(Json::as_str)
+        .expect("result");
+    assert_eq!(result.matches('[').count(), 54, "{result}");
+    for pair in runs.chunks(2) {
+        for field in ["result", "stats"] {
+            assert_eq!(
+                pair[0].get(field),
+                pair[1].get(field),
+                "`{field}`: {pair:?}"
+            );
+        }
+        assert_eq!(pair[0].get("result"), runs[0].get("result"));
+        let hit = pair[1].get("cache").and_then(|c| c.get("hit"));
+        assert_eq!(hit.and_then(Json::as_bool), Some(true), "{pair:?}");
+    }
+    let r_now = client.request("{\"v\": 1, \"kind\": \"run\", \"expr\": \"R\"}");
+    assert_eq!(r_now.get("result"), bound_r.as_ref());
+
+    handle.shutdown();
+}
+
+#[test]
 fn shed_past_max_inflight_with_bind_and_stats_still_served() {
     let _g = serialized();
     // One admission slot, several session threads: while tenant A evaluates

@@ -18,12 +18,12 @@
 mod tier_harness;
 
 use srl_core::dsl::*;
-use srl_core::{Dialect, EvalLimits, Program, Value};
+use srl_core::{Dialect, EvalError, EvalLimits, Program, Value};
 use srl_integration_tests::atom_set;
 use srl_stdlib::derived::{difference, intersection, member, union};
 use tier_harness::{
-    assert_algebra_matches_native, assert_expr_identical, assert_tier_identical, pair_set,
-    run_matrix, Gen,
+    assert_algebra_matches_native, assert_error_identical, assert_expr_identical,
+    assert_tier_identical, pair_set, run_expr, run_matrix, slice_fold, Gen,
 };
 
 // ---------------------------------------------------------------------------
@@ -372,6 +372,101 @@ fn named_atom_first_wins_survives_the_tier() {
     );
     assert_eq!(v.len(), Some(60));
     assert!(!format!("{v}").contains("v0"), "{v}");
+}
+
+/// Atom slices `{4k, …, 4k+3}` for `k ∈ ks`, ascending; with `named`,
+/// each slice's last atom is named `nI`.
+fn atom_slices(ks: std::ops::Range<u64>, named: bool) -> Value {
+    Value::set(ks.map(|k| {
+        Value::set((4 * k..4 * k + 4).map(|i| {
+            if named && i % 4 == 3 {
+                Value::named_atom(i, format!("n{i}"))
+            } else {
+                Value::atom(i)
+            }
+        }))
+    }))
+}
+
+/// `{d0, …, d4}` closed by the named atom `top` = index 5: a spilled
+/// generic set whose last element is not a plain atom.
+fn named_top() -> Value {
+    Value::set(
+        (0..5u64)
+            .map(Value::atom)
+            .chain([Value::named_atom(5, "top")]),
+    )
+}
+
+#[test]
+fn atom_slices_agree_on_append_and_merge() {
+    // Plain atom slices keep the accumulator columnar, so every slice
+    // merges. Slices closed by a named atom keep it generic and ending in
+    // a name, so once a merge has unshared it every later slice appends —
+    // from the empty set and from the environment-bound `N` alike. Atom
+    // slices followed by tuple slices cross from a columnar accumulator to
+    // a generic one that the second tuple slice appends to.
+    let program = Program::srl();
+    let tuples = |k: u64| pair_set((0..6u64).map(|j| (k, j)));
+    let mixed = Value::set([atom_set(0..6u64), atom_set(6..12u64), tuples(0), tuples(1)]);
+    for (label, slices, base, len) in [
+        ("plain atoms", atom_slices(0..12, false), empty_set(), 48),
+        (
+            "named-closed atoms",
+            atom_slices(0..12, true),
+            empty_set(),
+            48,
+        ),
+        (
+            "named-closed atoms from N",
+            atom_slices(2..12, true),
+            var("N"),
+            46,
+        ),
+        ("atoms then tuples", mixed, empty_set(), 24),
+    ] {
+        let (v, _) = assert_expr_identical(
+            &program,
+            &["SLICES", "N"],
+            &[slices, named_top()],
+            &slice_fold(base),
+            label,
+        );
+        assert_eq!(v.len(), Some(len), "{label}");
+        if label.starts_with("named") {
+            let printed = format!("{v}");
+            assert!(
+                printed.contains("n11") && printed.contains("n47"),
+                "{printed}"
+            );
+        }
+        if label.ends_with("from N") {
+            assert!(format!("{v}").contains("top"), "{v}");
+        }
+    }
+}
+
+#[test]
+fn size_limit_inside_an_atom_union_fails_identically() {
+    // 48 atoms of weight 1, all allocated by the union's inserts: the
+    // budget runs out in a merge (plain slices, or the first named-closed
+    // slice) or in an append (a later named-closed slice).
+    let program = Program::srl();
+    let limits = |max_value_weight| EvalLimits {
+        max_value_weight,
+        ..EvalLimits::benchmark()
+    };
+    for named in [false, true] {
+        let inputs = [atom_slices(0..12, named)];
+        let expr = slice_fold(empty_set());
+        let outcomes = run_expr(&program, limits(48), &["SLICES"], &inputs, &expr);
+        assert_tier_identical("budget 48", &outcomes);
+        for max in [47, 30, 1] {
+            let outcomes = run_expr(&program, limits(max), &["SLICES"], &inputs, &expr);
+            let e = assert_error_identical(&format!("budget {max}, named {named}"), &outcomes);
+            assert_eq!(e, EvalError::SizeLimitExceeded { limit: max });
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use srl_core::dsl::*;
 use srl_core::setrepr::set_atom_tier_enabled;
 use srl_core::{
-    Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Expr, Program, TierEngagements,
-    Value,
+    Env, EvalError, EvalLimits, EvalStats, Evaluator, ExecBackend, Expr, Lambda, Program,
+    TierEngagements, Value,
 };
 use srl_stdlib::derived::{difference, intersection, member, union};
 
@@ -153,6 +153,40 @@ pub fn assert_tier_identical(label: &str, outcomes: &[Outcome]) -> (Value, u64) 
     (v0.clone(), on_min)
 }
 
+/// Asserts every configuration failed with the same error (kind and
+/// payload) and returns it. Partial counters on error paths may differ by
+/// instruction reordering, so only the error itself is compared.
+pub fn assert_error_identical(label: &str, outcomes: &[Outcome]) -> EvalError {
+    let errors: Vec<&EvalError> = outcomes
+        .iter()
+        .map(|o| match &o.result {
+            Ok((v, _)) => panic!("{label} [{}]: expected an error, got {v}", o.config),
+            Err(e) => e,
+        })
+        .collect();
+    for (o, e) in outcomes.iter().zip(&errors) {
+        assert_eq!(errors[0], *e, "{label} [{}]: errors differ", o.config);
+    }
+    errors[0].clone()
+}
+
+/// Runs an expression with named inputs through the full matrix.
+pub fn run_expr(
+    program: &Program,
+    limits: EvalLimits,
+    names: &[&str],
+    inputs: &[Value],
+    expr: &Expr,
+) -> Vec<Outcome> {
+    run_matrix(program, limits, inputs, |ev, vals| {
+        let mut env = Env::new();
+        for (name, value) in names.iter().zip(vals) {
+            env.insert(*name, value.clone());
+        }
+        ev.eval(expr, &env)
+    })
+}
+
 /// Identity over an expression with named inputs, under benchmark limits.
 pub fn assert_expr_identical(
     program: &Program,
@@ -161,14 +195,24 @@ pub fn assert_expr_identical(
     expr: &Expr,
     label: &str,
 ) -> (Value, u64) {
-    let outcomes = run_matrix(program, EvalLimits::benchmark(), inputs, |ev, vals| {
-        let mut env = Env::new();
-        for (name, value) in names.iter().zip(vals) {
-            env.insert(*name, value.clone());
-        }
-        ev.eval(expr, &env)
-    });
+    let outcomes = run_expr(program, EvalLimits::benchmark(), names, inputs, expr);
     assert_tier_identical(label, &outcomes)
+}
+
+/// Folds the set of sets `SLICES` into the accumulator `base` one slice
+/// at a time with `union(slice, acc)` — the combiner of the stdlib
+/// `cartesian`, which compiles to the fused union with the accumulator
+/// moved out of its slot. Whether a slice appends in place or merges
+/// depends on its order against the accumulator, the accumulator's store
+/// and whether it is shared (`SetRepr::append_after` in srl-core).
+pub fn slice_fold(base: Expr) -> Expr {
+    set_reduce(
+        var("SLICES"),
+        Lambda::identity(),
+        lam("slice", "acc", union(var("slice"), var("acc"))),
+        base,
+        empty_set(),
+    )
 }
 
 /// Deterministic case stream (SplitMix64 — same construction as the other

@@ -20,13 +20,15 @@
 
 mod tier_harness;
 
+use std::ops::Range;
+
 use srl_core::dsl::*;
-use srl_core::{Dialect, EvalLimits, Program, Value};
+use srl_core::{Dialect, Env, EvalError, EvalLimits, Program, Value};
 use srl_integration_tests::atom_set;
-use srl_stdlib::derived::{difference, intersection, member, union};
+use srl_stdlib::derived::{cartesian, difference, intersection, member, union};
 use tier_harness::{
-    assert_algebra_matches_native, assert_expr_identical, assert_tier_identical, pair_set,
-    run_matrix, Gen,
+    assert_algebra_matches_native, assert_error_identical, assert_expr_identical,
+    assert_tier_identical, pair_set, run_expr, run_matrix, slice_fold, Gen,
 };
 
 // ---------------------------------------------------------------------------
@@ -377,6 +379,172 @@ fn tuple_storage_threshold_edges_agree() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Building a relation slice by slice: the fused union appends a slice that
+// sorts wholly after its uniquely held accumulator in place and merges
+// every other slice. Neither path may be observable.
+// ---------------------------------------------------------------------------
+
+/// The set of slices `{pair(k, j) | j ∈ cols}` for `k ∈ rows`.
+fn slices(rows: Range<u64>, cols: Range<u64>, pair: impl Fn(u64, u64) -> (u64, u64)) -> Value {
+    Value::set(rows.map(|k| pair_set(cols.clone().map(|j| pair(k, j)))))
+}
+
+#[test]
+fn ascending_slices_append_and_agree() {
+    let program = Program::srl();
+    // Row-major slices: each sorts wholly after everything before it. From
+    // the environment-bound base R (shared, and overlapping the first
+    // slice) the first slice merges and the rest append.
+    let inputs = [
+        slices(0..12, 0..8, |k, j| (k, j)),
+        pair_set((0..6u64).map(|j| (0, 2 * j))),
+    ];
+    for (label, base, len) in [
+        ("row-major from emptyset", empty_set(), 96),
+        ("row-major from R", var("R"), 98),
+    ] {
+        let (v, _) = assert_expr_identical(
+            &program,
+            &["SLICES", "R"],
+            &inputs,
+            &slice_fold(base),
+            label,
+        );
+        assert_eq!(v.len(), Some(len), "{label}");
+    }
+    // The stdlib cartesian product: its combiner is this fold.
+    let inputs = [atom_set(0..24u64), atom_set(0..9u64)];
+    let (v, _) = assert_expr_identical(
+        &program,
+        &["A", "B"],
+        &inputs,
+        &cartesian(var("A"), var("B")),
+        "cartesian A × B",
+    );
+    assert_eq!(v.len(), Some(24 * 9));
+}
+
+#[test]
+fn interleaved_slices_merge_and_agree() {
+    let program = Program::srl();
+    // Column-major slices interleave with the accumulator; "touching"
+    // slices open with a tuple equal to the accumulator's last one.
+    for (label, slices, len) in [
+        ("column-major", slices(0..12, 0..8, |k, j| (j, k)), 96),
+        (
+            "touching",
+            Value::set((0..12u64).map(|k| pair_set((0..8).map(|j| (k, j)).chain([(k + 1, 0)])))),
+            97,
+        ),
+    ] {
+        let (v, _) = assert_expr_identical(
+            &program,
+            &["SLICES"],
+            &[slices],
+            &slice_fold(empty_set()),
+            label,
+        );
+        assert_eq!(v.len(), Some(len), "{label}");
+    }
+}
+
+/// Slices `k = 0..6` of `[k, 0..=7]`; from the second on, each also holds
+/// a twin of the previous slice's last tuple `[k-1, 7]`, which is its
+/// least element. With `named_in_acc` the slices end in the named copy
+/// `[vK, 7]` and the twins are plain; otherwise the other way round.
+fn twin_slices(named_in_acc: bool) -> Value {
+    let pair = |k: u64, j: u64, named: bool| {
+        let first = if named {
+            Value::named_atom(k, format!("v{k}"))
+        } else {
+            Value::atom(k)
+        };
+        Value::tuple([first, Value::atom(j)])
+    };
+    Value::set((0..6u64).map(|k| {
+        let body = (0..8).map(|j| pair(k, j, named_in_acc && j == 7));
+        let twin = (k > 0).then(|| pair(k - 1, 7, !named_in_acc));
+        Value::set(body.chain(twin))
+    }))
+}
+
+#[test]
+fn named_twin_at_a_slice_boundary_keeps_the_accumulator_copy() {
+    // The twin equals the accumulator's last tuple, so the slice cannot
+    // append; first-wins must keep the accumulator's copy, as printed.
+    let program = Program::srl();
+    for named_in_acc in [true, false] {
+        let label = format!("twins, named in accumulator: {named_in_acc}");
+        let (v, _) = assert_expr_identical(
+            &program,
+            &["SLICES"],
+            &[twin_slices(named_in_acc)],
+            &slice_fold(empty_set()),
+            &label,
+        );
+        assert_eq!(v.len(), Some(48), "{label}");
+        let printed = format!("{v}");
+        if named_in_acc {
+            assert!(
+                (0..6).all(|k| printed.contains(&format!("[v{k}#{k}, d7]"))),
+                "{printed}"
+            );
+        } else {
+            assert!(!printed.contains('v'), "{printed}");
+        }
+    }
+}
+
+#[test]
+fn size_limit_inside_the_union_fails_identically() {
+    // Only the union's inserts allocate here: 60 pairs of weight 3. The
+    // budget runs out in the first slice (a merge into the empty set) or
+    // in a later one (an append).
+    let program = Program::srl();
+    let inputs = [slices(0..10, 0..6, |k, j| (k, j))];
+    let expr = slice_fold(empty_set());
+    let limits = |max_value_weight| EvalLimits {
+        max_value_weight,
+        ..EvalLimits::benchmark()
+    };
+    let outcomes = run_expr(&program, limits(180), &["SLICES"], &inputs, &expr);
+    let (v, _) = assert_tier_identical("budget 180", &outcomes);
+    assert_eq!(v.len(), Some(60));
+    for max in [179, 100, 2] {
+        let outcomes = run_expr(&program, limits(max), &["SLICES"], &inputs, &expr);
+        let e = assert_error_identical(&format!("budget {max}"), &outcomes);
+        assert_eq!(e, EvalError::SizeLimitExceeded { limit: max });
+    }
+}
+
+#[test]
+fn environment_bound_accumulator_is_never_mutated() {
+    // The fold starts from the binding R itself, and R sorts wholly before
+    // the slices: only R being shared with the environment keeps the
+    // fused union from appending into it. Two runs on one evaluator must
+    // agree and leave R as bound.
+    let program = Program::srl();
+    let bound = || pair_set((0..6u64).map(|j| (0, j)));
+    let inputs = [bound(), slices(1..9, 0..6, |k, j| (k, j))];
+    let expr = slice_fold(var("R"));
+    let outcomes = run_matrix(&program, EvalLimits::benchmark(), &inputs, |ev, vals| {
+        let env = Env::new()
+            .bind("R", vals[0].clone())
+            .bind("SLICES", vals[1].clone());
+        let first = ev.eval(&expr, &env)?;
+        ev.reset_stats();
+        let second = ev.eval(&expr, &env)?;
+        assert_eq!(format!("{first}"), format!("{second}"));
+        assert_eq!(first, second);
+        assert_eq!(env.get("R"), Some(&bound()));
+        assert_eq!(vals[0], bound());
+        Ok(second)
+    });
+    let (v, _) = assert_tier_identical("fold from R, run twice", &outcomes);
+    assert_eq!(v.len(), Some(54));
 }
 
 // ---------------------------------------------------------------------------
